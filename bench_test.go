@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -259,6 +260,42 @@ func BenchmarkTopKTraced(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		topk.Evaluate(lists, topk.Options{K: 10, Trace: obs.NewTrace()})
+	}
+}
+
+// BenchmarkTopKJoinPlanned measures a facade top-10 query that the
+// cost-based planner sends to the complete join (sort-after-complete, the
+// Section V-D hybrid's small-answer branch): correlated keywords whose
+// independence estimate is small. Only the ten returned results are
+// materialized, so allocs/op tracks k, not the full answer.
+func BenchmarkTopKJoinPlanned(b *testing.B) {
+	dblp, _ := benchEnvs(b)
+	var sb osWriteBuffer
+	if err := dblp.DS.Doc.WriteXML(&sb); err != nil {
+		b.Fatal(err)
+	}
+	ix, err := xmlsearch.Open(bytes.NewReader(sb.buf))
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := xmlsearch.SearchOptions{Algorithm: xmlsearch.AlgoAuto}
+	query := ""
+	for _, q := range dblp.CorrelatedQueries() {
+		qs := strings.Join(q, " ")
+		if p, err := ix.Plan(qs, 10, opt); err == nil && p.Engine == "join" {
+			query = qs
+			break
+		}
+	}
+	if query == "" {
+		b.Fatal("no correlated query plans the complete join at k=10")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ix.TopK(query, 10, opt); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

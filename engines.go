@@ -3,7 +3,7 @@ package xmlsearch
 import (
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dewey"
@@ -72,10 +72,11 @@ func abortedMeta() exec.RunMeta {
 
 // runJoin is the complete join-based evaluation (Section III). With
 // K > 0 — reachable only through the planner choosing sort-after-complete
-// for a small expected result set — it truncates the ranked set. On a
-// deadline/budget abort the results accumulated so far come back ranked,
-// but with an infinite unseen bound: the bottom-up merge visits results in
-// document order, not score order, so nothing can be certified.
+// for a small expected result set — it ranks the engine's results and
+// materializes only the first K that resolve. On a deadline/budget abort
+// the results accumulated so far come back ranked, but with an infinite
+// unseen bound: the bottom-up merge visits results in document order, not
+// score order, so nothing can be certified.
 func runJoin(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace) ([]Result, exec.RunMeta, error) {
 	osp := tr.Stage(obs.StageOpen)
 	lists, lerr := s.store.ListsBudget(q.Keywords, tr, q.Budget)
@@ -86,12 +87,11 @@ func runJoin(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace) ([]R
 	jsp := tr.Stage(obs.StageJoin)
 	defer tr.End(jsp)
 	rs, _, err := core.EvaluateCtx(ctx, lists, core.Options{Semantics: coreSem(Semantics(q.Semantics)), Decay: q.Decay, Trace: tr})
-	if err != nil {
-		core.SortByScore(rs)
-		return truncate(s.materializeJoin(rs), q.K), abortedMeta(), err
-	}
 	core.SortByScore(rs)
-	return truncate(s.materializeJoin(rs), q.K), exec.RunMeta{}, nil
+	if err != nil {
+		return s.materializeJoin(rs, q.K), abortedMeta(), err
+	}
+	return s.materializeJoin(rs, q.K), exec.RunMeta{}, nil
 }
 
 // runTopKJoin is the top-K star join (Section IV): score-ordered cursors
@@ -111,7 +111,7 @@ func runTopKJoin(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace) 
 		Semantics: coreSem(Semantics(q.Semantics)), Decay: q.Decay, K: q.K, Trace: tr,
 		Budget: q.Budget, Partial: q.AllowPartial,
 	})
-	return s.materializeJoin(rs), exec.RunMeta{Partial: st.Partial, UnseenBound: st.UnseenBound}, err
+	return s.materializeJoin(rs, 0), exec.RunMeta{Partial: st.Partial, UnseenBound: st.UnseenBound}, err
 }
 
 // streamTopKJoin delivers each star-join result the moment the threshold
@@ -145,10 +145,11 @@ func streamTopKJoin(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trac
 }
 
 // runStack is the stack-based baseline: full document-order merge, then
-// rank (and truncate, for top-K). Like the complete join, its abort-time
-// results carry no certification bound. The in-memory baseline lists are
-// not budget-charged: the decoded-bytes budget bounds the column store's
-// read path, which this engine does not use.
+// rank, truncate (for top-K) and materialize what is kept. Like the
+// complete join, its abort-time results carry no certification bound. The
+// in-memory baseline lists are not budget-charged: the decoded-bytes
+// budget bounds the column store's read path, which this engine does not
+// use.
 func runStack(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace) ([]Result, exec.RunMeta, error) {
 	osp := tr.Stage(obs.StageOpen)
 	lists := s.invListsObs(q.Keywords, tr)
@@ -157,18 +158,20 @@ func runStack(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace) ([]
 	defer tr.End(jsp)
 	rs, _, err := stack.EvaluateObsCtx(ctx, lists, stackSem(Semantics(q.Semantics)), q.Decay, tr)
 	stack.SortByScore(rs)
-	out := make([]Result, 0, len(rs))
-	for _, r := range rs {
-		out = append(out, s.materializeDewey(r.ID, r.Score))
+	rs = truncate(rs, q.K)
+	out := make([]Result, len(rs))
+	for i, r := range rs {
+		out[i] = s.materializeDewey(r.ID, r.Score)
 	}
 	if err != nil {
-		return truncate(out, q.K), abortedMeta(), err
+		return out, abortedMeta(), err
 	}
-	return truncate(out, q.K), exec.RunMeta{}, nil
+	return out, exec.RunMeta{}, nil
 }
 
 // runIxLookup is the index-lookup baseline: shortest-list-driven probes,
-// then rank by the canonical ordering (and truncate, for top-K).
+// then rank by the canonical ordering, truncate (for top-K) and
+// materialize what is kept.
 func runIxLookup(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace) ([]Result, exec.RunMeta, error) {
 	osp := tr.Stage(obs.StageOpen)
 	lists := s.invListsObs(q.Keywords, tr)
@@ -179,17 +182,18 @@ func runIxLookup(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace) 
 	if err != nil {
 		return nil, abortedMeta(), err
 	}
-	sort.SliceStable(rs, func(i, j int) bool {
-		if c := exec.Compare(rs[i].Score, rs[j].Score, len(rs[i].ID), len(rs[j].ID)); c != 0 {
-			return c < 0
+	slices.SortFunc(rs, func(a, b ixlookup.Result) int {
+		if c := exec.Compare(a.Score, b.Score, len(a.ID), len(b.ID)); c != 0 {
+			return c
 		}
-		return dewey.Compare(rs[i].ID, rs[j].ID) < 0
+		return dewey.Compare(a.ID, b.ID)
 	})
-	out := make([]Result, 0, len(rs))
-	for _, r := range rs {
-		out = append(out, s.materializeDewey(r.ID, r.Score))
+	rs = truncate(rs, q.K)
+	out := make([]Result, len(rs))
+	for i, r := range rs {
+		out[i] = s.materializeDewey(r.ID, r.Score)
 	}
-	return truncate(out, q.K), exec.RunMeta{}, nil
+	return out, exec.RunMeta{}, nil
 }
 
 // runRDIL is the RDIL top-K baseline (classic TA over score-ordered
@@ -237,11 +241,11 @@ func runHybrid(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace) ([
 	if err != nil {
 		return nil, abortedMeta(), err
 	}
-	return s.materializeJoin(rs), exec.RunMeta{}, nil
+	return s.materializeJoin(rs, 0), exec.RunMeta{}, nil
 }
 
 // truncate caps a ranked result slice at k (0 = no cap).
-func truncate(rs []Result, k int) []Result {
+func truncate[T any](rs []T, k int) []T {
 	if k > 0 && k < len(rs) {
 		return rs[:k]
 	}

@@ -8,11 +8,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
-	"math"
-	"sort"
-
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/colstore"
@@ -154,7 +154,7 @@ func EvaluateSourcesCtx(ctx context.Context, lists []colstore.Source, opt Option
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return lists[idx[a]].Rows() < lists[idx[b]].Rows() })
+	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(lists[a].Rows(), lists[b].Rows()) })
 	ordered := make([]colstore.Source, len(lists))
 	for i, j := range idx {
 		ordered[i] = lists[j]
@@ -213,16 +213,31 @@ type evaluator struct {
 	erased  []*eraseSet
 	curCols []*colstore.Column // columns of the level being processed
 	opt     Options
-	decay   float64
+	// damp[n] is the damping factor decay^n for a witness n levels below
+	// the result node, precomputed with math.Pow so scores match a
+	// per-row math.Pow bit for bit.
+	damp []float64
+
+	// matchBuf and runBuf back the level's intermediate join result and
+	// its matches' run indices (k per match); processLevel reuses them.
+	matchBuf []match
+	runBuf   []int32
 
 	lastPlan string // previous dynamic join choice, for plan-switch events
 }
 
 func newEvaluator(ctx context.Context, lists []colstore.Source, opt Options) *evaluator {
-	e := &evaluator{ctx: ctx, lists: lists, opt: opt, decay: opt.decay()}
+	e := &evaluator{ctx: ctx, lists: lists, opt: opt, curCols: make([]*colstore.Column, len(lists))}
 	e.erased = make([]*eraseSet, len(lists))
+	depth := 0
 	for i, l := range lists {
 		e.erased[i] = newEraseSet(l.Rows())
+		depth = max(depth, l.MaxLevel())
+	}
+	decay := opt.decay()
+	e.damp = make([]float64, depth+1)
+	for n := range e.damp {
+		e.damp[n] = math.Pow(decay, float64(n))
 	}
 	return e
 }
@@ -254,21 +269,27 @@ type match struct {
 // semantic pruning to each contains-all value found.
 func (e *evaluator) processLevel(lev int, results []Result, st *Stats) []Result {
 	k := len(e.lists)
-	cols := make([]*colstore.Column, k)
+	cols := e.curCols
 	for i, l := range e.lists {
 		cols[i] = l.Col(lev)
 		if cols[i] == nil || len(cols[i].Runs) == 0 {
 			return results
 		}
 	}
-	e.curCols = cols
-	// Left-deep join chain seeded by the shortest list's column.
-	cur := make([]match, 0, len(cols[0].Runs))
-	for ri := range cols[0].Runs {
-		m := match{value: cols[0].Runs[ri].Value, runs: make([]int32, 1, k)}
-		m.runs[0] = int32(ri)
-		cur = append(cur, m)
+	// Left-deep join chain seeded by the shortest list's column. Each
+	// match's run indices are a k-slot window of runBuf, so the joins,
+	// which filter in place, append without reallocating.
+	n := len(cols[0].Runs)
+	if len(e.runBuf) < n*k {
+		e.runBuf = make([]int32, n*k)
 	}
+	cur := e.matchBuf[:0]
+	for ri := range cols[0].Runs {
+		runs := e.runBuf[ri*k : ri*k+1 : ri*k+k]
+		runs[0] = int32(ri)
+		cur = append(cur, match{value: cols[0].Runs[ri].Value, runs: runs})
+	}
+	e.matchBuf = cur
 	for j := 1; j < k && len(cur) > 0; j++ {
 		useIndex := false
 		switch e.opt.Plan {
@@ -405,9 +426,7 @@ func (e *evaluator) applyMatch(lev int, m match) (Result, bool) {
 	// Erase all rows under N in every list, regardless of output.
 	for i := 0; i < k; i++ {
 		run := e.curCols[i].Runs[m.runs[i]]
-		for row := run.Row; row < run.Row+run.Count; row++ {
-			e.erased[i].erase(row)
-		}
+		e.erased[i].eraseRange(run.Row, run.Row+run.Count)
 	}
 	if !output {
 		return Result{}, false
@@ -428,7 +447,7 @@ func (e *evaluator) bestWitness(i int, run colstore.Run, lev int) float64 {
 		if e.erased[i].isErased(row) {
 			continue
 		}
-		s := float64(l.RowScore(row)) * math.Pow(e.decay, float64(l.RowLen(row)-lev))
+		s := float64(l.RowScore(row)) * e.damp[l.RowLen(row)-lev]
 		if s > best {
 			best = s
 		}
@@ -441,10 +460,10 @@ func (e *evaluator) bestWitness(i int, run colstore.Run, lev int) float64 {
 // number — the deterministic order the top-K engines and the experiments
 // use.
 func SortByScore(rs []Result) {
-	sort.SliceStable(rs, func(i, j int) bool {
-		if c := exec.Compare(rs[i].Score, rs[j].Score, rs[i].Level, rs[j].Level); c != 0 {
-			return c < 0
+	slices.SortFunc(rs, func(a, b Result) int {
+		if c := exec.Compare(a.Score, b.Score, a.Level, b.Level); c != 0 {
+			return c
 		}
-		return rs[i].Value < rs[j].Value
+		return cmp.Compare(a.Value, b.Value)
 	})
 }

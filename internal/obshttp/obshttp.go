@@ -196,12 +196,24 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 	h.ix.Stats().WritePrometheus(w)
 }
 
+// writeJSON writes v indented, for the debug routes people read by hand.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+	enc := jsonEncoder(w, status)
 	enc.SetIndent("", "  ")
 	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
+}
+
+// writeCompactJSON writes v on one line: the /search success reply,
+// which programs read and which runs to hundreds of kilobytes for a
+// complete answer, where indenting is a large share of the reply's cost.
+func writeCompactJSON(w http.ResponseWriter, status int, v any) {
+	jsonEncoder(w, status).Encode(v) //nolint:errcheck // client gone; nothing to do
+}
+
+func jsonEncoder(w http.ResponseWriter, status int) *json.Encoder {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	return json.NewEncoder(w)
 }
 
 func (h *Handler) metricsJSON(w http.ResponseWriter, r *http.Request) {
@@ -625,5 +637,5 @@ func (h *Handler) search(w http.ResponseWriter, r *http.Request) {
 	if qs.Partial {
 		resp.UnseenBound = qs.UnseenBound
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeCompactJSON(w, http.StatusOK, resp)
 }

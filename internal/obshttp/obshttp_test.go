@@ -1,10 +1,12 @@
 package obshttp
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -181,6 +183,47 @@ func TestSearchEngines(t *testing.T) {
 	}
 	if out.K != 0 || len(out.Results) == 0 {
 		t.Errorf("complete evaluation: k=%d results=%d", out.K, len(out.Results))
+	}
+}
+
+// TestSearchReplyCompact checks that the /search success reply is one
+// line of JSON carrying the full answer, while the debug routes stay
+// indented.
+func TestSearchReplyCompact(t *testing.T) {
+	ix, srv := newServer(t)
+	for _, k := range []int{0, 3} {
+		body := get(t, srv.URL+"/search?q=keyword+search&k="+strconv.Itoa(k), http.StatusOK)
+		if i := bytes.IndexByte(body, '\n'); i != len(body)-1 {
+			t.Fatalf("k=%d: reply has a newline at %d of %d bytes, want only the final one:\n%s", k, i, len(body), body)
+		}
+		var got searchResponse
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		indented, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again searchResponse
+		if err := json.Unmarshal(indented, &again); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, again) {
+			t.Errorf("k=%d: compact and indented encodings decode differently:\n%+v\n%+v", k, got, again)
+		}
+		want, err := ix.Search("keyword search", xmlsearch.SearchOptions{})
+		if k > 0 {
+			want, err = ix.TopK("keyword search", k, xmlsearch.SearchOptions{})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Query != "keyword search" || got.K != k || !reflect.DeepEqual(got.Results, want) {
+			t.Errorf("k=%d: reply %+v, want results %+v", k, got, want)
+		}
+	}
+	if m := get(t, srv.URL+"/metrics.json", http.StatusOK); !bytes.Contains(m, []byte("\n  ")) {
+		t.Error("/metrics.json is no longer indented")
 	}
 }
 

@@ -11,6 +11,7 @@ package stack
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -239,10 +240,10 @@ func TopK(lists []*invindex.List, sem Semantics, decay float64, k int) ([]Result
 // (descending score, deeper levels first), breaking full ties by Dewey
 // document order.
 func SortByScore(rs []Result) {
-	sort.SliceStable(rs, func(i, j int) bool {
-		if c := exec.Compare(rs[i].Score, rs[j].Score, len(rs[i].ID), len(rs[j].ID)); c != 0 {
-			return c < 0
+	slices.SortFunc(rs, func(a, b Result) int {
+		if c := exec.Compare(a.Score, b.Score, len(a.ID), len(b.ID)); c != 0 {
+			return c
 		}
-		return dewey.Compare(rs[i].ID, rs[j].ID) < 0
+		return dewey.Compare(a.ID, b.ID)
 	})
 }

@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dewey"
 )
@@ -47,16 +48,25 @@ func (n *Node) JDeweySeq() []uint32 {
 	return seq
 }
 
-// Path returns the slash-separated tag path from the root to the node.
+// Path returns the slash-separated tag path from the root to the node,
+// built in a single allocation.
 func (n *Node) Path() string {
-	var tags []string
+	size := 0
 	for v := n; v != nil; v = v.Parent {
-		tags = append(tags, v.Tag)
+		size += 1 + len(v.Tag)
 	}
-	for i, j := 0, len(tags)-1; i < j; i, j = i+1, j-1 {
-		tags[i], tags[j] = tags[j], tags[i]
+	var b strings.Builder
+	b.Grow(size)
+	n.writePath(&b)
+	return b.String()
+}
+
+func (n *Node) writePath(b *strings.Builder) {
+	if n.Parent != nil {
+		n.Parent.writePath(b)
 	}
-	return "/" + strings.Join(tags, "/")
+	b.WriteByte('/')
+	b.WriteString(n.Tag)
 }
 
 // Document is a parsed or generated XML document.
@@ -67,7 +77,10 @@ type Document struct {
 
 	lazyMu  sync.Mutex // guards the lazy builds of byLevel and jdIndex
 	byLevel [][]*Node  // filled lazily by NodesAtLevel
-	jdIndex [][]*Node  // per level, sorted by JDewey number; lazily built
+	// jdIndex holds, per level, the nodes sorted by JDewey number. It is
+	// built lazily under lazyMu and published whole, so lookups read it
+	// without taking the lock; nil means not built (or invalidated).
+	jdIndex atomic.Pointer[[][]*Node]
 }
 
 // Len returns the number of element nodes in the document.
@@ -80,7 +93,7 @@ func (d *Document) freeze() {
 	d.Depth = 0
 	d.lazyMu.Lock()
 	d.byLevel = nil
-	d.jdIndex = nil
+	d.jdIndex.Store(nil)
 	d.lazyMu.Unlock()
 	var walk func(n *Node, id dewey.ID, level int)
 	walk = func(n *Node, id dewey.ID, level int) {
@@ -129,15 +142,13 @@ func (d *Document) nodesAtLevelLocked(level int) []*Node {
 // of document order (gap insertions, subtree renumbering), so the table is
 // maintained separately from the document-order one and must be
 // invalidated by whoever renumbers nodes (see InvalidateJDeweyIndex).
+// Once the table is built, lookups take no lock.
 func (d *Document) NodeByJDewey(level int, jd uint32) *Node {
-	d.lazyMu.Lock()
-	d.buildJDIndexLocked()
-	if level < 1 || level >= len(d.jdIndex) {
-		d.lazyMu.Unlock()
+	idx := d.jdTable()
+	if level < 1 || level >= len(idx) {
 		return nil
 	}
-	nodes := d.jdIndex[level]
-	d.lazyMu.Unlock()
+	nodes := idx[level]
 	lo, hi := 0, len(nodes)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -153,16 +164,25 @@ func (d *Document) NodeByJDewey(level int, jd uint32) *Node {
 	return nil
 }
 
-func (d *Document) buildJDIndexLocked() {
-	if d.jdIndex != nil {
-		return
+// jdTable returns the published per-level JDewey table, building it on
+// first use.
+func (d *Document) jdTable() [][]*Node {
+	if p := d.jdIndex.Load(); p != nil {
+		return *p
 	}
-	d.jdIndex = make([][]*Node, d.Depth+1)
+	d.lazyMu.Lock()
+	defer d.lazyMu.Unlock()
+	if p := d.jdIndex.Load(); p != nil {
+		return *p
+	}
+	idx := make([][]*Node, d.Depth+1)
 	for l := 1; l <= d.Depth; l++ {
 		nodes := append([]*Node(nil), d.nodesAtLevelLocked(l)...)
 		sort.Slice(nodes, func(i, j int) bool { return nodes[i].JD < nodes[j].JD })
-		d.jdIndex[l] = nodes
+		idx[l] = nodes
 	}
+	d.jdIndex.Store(&idx)
+	return idx
 }
 
 // MaxJDeweyNode returns the node carrying the highest JDewey number at the
@@ -170,13 +190,11 @@ func (d *Document) buildJDIndexLocked() {
 // lazily built per-level table; the delta write path uses it to bound
 // append eligibility without scanning the level.
 func (d *Document) MaxJDeweyNode(level int) *Node {
-	d.lazyMu.Lock()
-	defer d.lazyMu.Unlock()
-	d.buildJDIndexLocked()
-	if level < 1 || level >= len(d.jdIndex) || len(d.jdIndex[level]) == 0 {
+	idx := d.jdTable()
+	if level < 1 || level >= len(idx) || len(idx[level]) == 0 {
 		return nil
 	}
-	nodes := d.jdIndex[level]
+	nodes := idx[level]
 	return nodes[len(nodes)-1]
 }
 
@@ -184,7 +202,7 @@ func (d *Document) MaxJDeweyNode(level int) *Node {
 // calls it whenever node numbers change without a structural refresh.
 func (d *Document) InvalidateJDeweyIndex() {
 	d.lazyMu.Lock()
-	d.jdIndex = nil
+	d.jdIndex.Store(nil)
 	d.lazyMu.Unlock()
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/dewey"
@@ -110,6 +111,49 @@ func TestNodeLookups(t *testing.T) {
 	seq := doc.Root.Children[0].Children[0].JDeweySeq()
 	if len(seq) != 3 || seq[0] != 1 {
 		t.Errorf("JDeweySeq = %v", seq)
+	}
+}
+
+// TestNodeByJDeweyConcurrent races first-use lookups (which build the
+// per-level table) from several goroutines, then checks that
+// InvalidateJDeweyIndex makes later lookups see renumbered nodes.
+func TestNodeByJDeweyConcurrent(t *testing.T) {
+	doc, err := Parse(strings.NewReader(sampleXML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	number := func(base uint32) {
+		counters := map[int]uint32{}
+		for _, n := range doc.Nodes {
+			counters[n.Level]++
+			n.JD = base + counters[n.Level]
+		}
+	}
+	lookupAll := func() {
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, n := range doc.Nodes {
+					if got := doc.NodeByJDewey(n.Level, n.JD); got != n {
+						t.Errorf("NodeByJDewey(%d, %d) = %v, want %v", n.Level, n.JD, got, n)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	number(0)
+	lookupAll()
+	number(100)
+	doc.InvalidateJDeweyIndex()
+	lookupAll()
+	if doc.NodeByJDewey(2, 1) != nil {
+		t.Error("lookup of a pre-renumbering JDewey must return nil")
+	}
+	if got := doc.Root.Path(); got != "/bib" {
+		t.Errorf("root Path = %q", got)
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/dewey"
@@ -57,11 +57,11 @@ func remapResult(r Result, off int) (mergedResult, bool) {
 // mergeRanked sorts merged results into the canonical global order and
 // returns the results, truncated to k when k > 0.
 func mergeRanked(ms []mergedResult, k int) []Result {
-	sort.Slice(ms, func(a, b int) bool {
-		if c := exec.Compare(ms[a].res.Score, ms[b].res.Score, ms[a].res.Level, ms[b].res.Level); c != 0 {
-			return c < 0
+	slices.SortFunc(ms, func(a, b mergedResult) int {
+		if c := exec.Compare(a.res.Score, b.res.Score, a.res.Level, b.res.Level); c != 0 {
+			return c
 		}
-		return dewey.Compare(ms[a].id, ms[b].id) < 0
+		return dewey.Compare(a.id, b.id)
 	})
 	if k > 0 && len(ms) > k {
 		ms = ms[:k]

@@ -805,9 +805,20 @@ func (ix *Index) Health() Health {
 
 const snippetLen = 80
 
-func (s *snapshot) materializeJoin(rs []core.Result) []Result {
-	out := make([]Result, 0, len(rs))
+// materializeJoin resolves ranked join results into public Results in
+// rank order, stopping once k have been produced (k <= 0: all of them).
+// A row whose node no longer resolves is skipped and the next row takes
+// its place, so the answer equals materializing everything and keeping
+// the first k — without building strings for rows that are cut.
+func (s *snapshot) materializeJoin(rs []core.Result, k int) []Result {
+	if k <= 0 || k > len(rs) {
+		k = len(rs)
+	}
+	out := make([]Result, 0, k)
 	for _, r := range rs {
+		if len(out) == k {
+			break
+		}
 		n := s.nodeByJDewey(r.Level, r.Value)
 		if n == nil {
 			continue
